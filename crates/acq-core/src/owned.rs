@@ -39,12 +39,173 @@ use std::collections::HashSet;
 /// into every [`Response`] served from it. Readers snapshot the whole
 /// quadruple at once, so a query can never observe a graph from one
 /// generation and an index from another.
+///
+/// Graph and index are persistent structures, so a generation staged from
+/// its predecessor shares with it every part no delta touched: it costs the
+/// change, not a copy of the graph and the tree.
 #[derive(Debug)]
-struct GraphGeneration {
-    graph: Arc<AttributedGraph>,
-    index: Arc<ClTree>,
-    cache: IndexCache,
-    number: u64,
+pub(crate) struct GraphGeneration {
+    pub(crate) graph: Arc<AttributedGraph>,
+    pub(crate) index: Arc<ClTree>,
+    pub(crate) cache: IndexCache,
+    pub(crate) number: u64,
+}
+
+/// The settings a generation is maintained under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Maintenance {
+    /// Capacity of each new generation's cache.
+    pub(crate) cache_capacity: usize,
+    /// See [`EngineBuilder::rebuild_threshold`].
+    pub(crate) rebuild_threshold: f64,
+}
+
+impl GraphGeneration {
+    /// Generation `number` of `graph`, with a freshly built index (advanced
+    /// builder, inverted lists) and an empty cache.
+    pub(crate) fn build(graph: Arc<AttributedGraph>, cache_capacity: usize, number: u64) -> Self {
+        let index = Arc::new(build_advanced(&graph, true));
+        Self { graph, index, cache: IndexCache::with_capacity(cache_capacity), number }
+    }
+
+    /// Answers one request on this generation.
+    pub(crate) fn execute(&self, request: &Request) -> Result<Response, QueryError> {
+        execute_on(&self.graph, &self.index, &self.cache, self.number, request)
+    }
+
+    /// Answers a batch on this generation over `threads` workers (see
+    /// [`EngineBuilder::threads`]), in input order.
+    pub(crate) fn execute_batch(
+        &self,
+        threads: usize,
+        requests: &[Request],
+    ) -> Vec<Result<Response, QueryError>> {
+        let workers = pool::effective_threads(threads, requests.len());
+        pool::map_ordered(requests, workers, |_, request| self.execute(request))
+    }
+
+    /// Stages the successor of this generation: interns `terms` (in order)
+    /// into its graph, applies `deltas`, maintains the index and carries
+    /// the cache entries no delta staled. Nothing is published; on `Err`
+    /// the staged copies are discarded and `self` is unchanged.
+    pub(crate) fn stage(
+        &self,
+        terms: &[&str],
+        deltas: &[GraphDelta],
+        settings: Maintenance,
+    ) -> Result<(GraphGeneration, UpdateReport), GraphError> {
+        // Both clones copy pointers only; every edit below copies just the
+        // array, node or list it writes to, once per staged generation.
+        let mut graph = (*self.graph).clone();
+        for term in terms {
+            graph.intern_keyword(term);
+        }
+        let mut tree = (*self.index).clone();
+        let n0 = self.graph.num_vertices().max(1);
+
+        let mut deltas_applied = 0usize;
+        let mut touched = 0usize;
+        let mut skeleton_stable = true;
+        let mut full_rebuild = false;
+        // Nodes whose cached pools (keyword-dependent) / cores
+        // (membership-dependent) a delta staled; only consulted while the
+        // skeleton stays stable.
+        let mut stale_pools: HashSet<NodeId> = HashSet::new();
+        let mut stale_cores: HashSet<NodeId> = HashSet::new();
+        // Whether the universe size grew: cached pools are `VertexSubset`s
+        // over the *old* vertex count, whose word buffers would be too short
+        // for the new graph at a 64-bit word boundary — so no pool survives
+        // a vertex insert. (Core entries are plain id lists, universe-free.)
+        let mut vertices_inserted = false;
+
+        for delta in deltas {
+            let applied = graph.apply_deltas_in_place(std::slice::from_ref(delta))?;
+            deltas_applied += applied.len();
+            for record in applied {
+                match record {
+                    AppliedDelta::EdgeInserted(u, v) | AppliedDelta::EdgeRemoved(u, v) => {
+                        if full_rebuild {
+                            continue;
+                        }
+                        if touched as f64 >= settings.rebuild_threshold * n0 as f64 {
+                            full_rebuild = true;
+                            continue;
+                        }
+                        let inserted = matches!(record, AppliedDelta::EdgeInserted(..));
+                        let report = if inserted {
+                            maintenance::apply_edge_insertion_in_place(&mut tree, &graph, u, v)
+                        } else {
+                            maintenance::apply_edge_removal_in_place(&mut tree, &graph, u, v)
+                        };
+                        touched += report.subcore_size;
+                        skeleton_stable &= !report.skeleton_rebuilt;
+                    }
+                    AppliedDelta::KeywordAdded(v, kw) => {
+                        if !full_rebuild {
+                            maintenance::apply_keyword_insertion(&mut tree, v, kw);
+                            if skeleton_stable {
+                                stale_pools.extend(tree.node_path_to_root(tree.node_of(v)));
+                            }
+                        }
+                    }
+                    AppliedDelta::KeywordRemoved(v, kw) => {
+                        if !full_rebuild {
+                            maintenance::apply_keyword_removal(&mut tree, v, kw);
+                            if skeleton_stable {
+                                stale_pools.extend(tree.node_path_to_root(tree.node_of(v)));
+                            }
+                        }
+                    }
+                    AppliedDelta::VertexInserted(v) => {
+                        vertices_inserted = true;
+                        if !full_rebuild {
+                            maintenance::apply_vertex_insertion(&mut tree, &graph, v);
+                            if skeleton_stable {
+                                stale_cores.insert(tree.root());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        let strategy = if full_rebuild {
+            // Preserve the engine's inverted-list configuration: an ablation
+            // engine built without lists must not gain them on a rebuild.
+            tree = build_advanced(&graph, tree.has_inverted_lists());
+            UpdateStrategy::FullRebuild
+        } else if skeleton_stable {
+            UpdateStrategy::IncrementalStableSkeleton
+        } else {
+            UpdateStrategy::IncrementalRebuiltSkeleton
+        };
+
+        let cache = IndexCache::with_capacity(settings.cache_capacity);
+        let (cache_carried, cache_dropped) =
+            if matches!(strategy, UpdateStrategy::IncrementalStableSkeleton) {
+                cache.carry_from(&self.cache, |key| match key.kind {
+                    CacheKind::Core => !stale_cores.contains(&key.node),
+                    CacheKind::Pool => !vertices_inserted && !stale_pools.contains(&key.node),
+                })
+            } else {
+                let dropped = self.cache.len() as u64;
+                cache.note_swap_drop(dropped);
+                (0, dropped)
+            };
+
+        let number = self.number + 1;
+        let next = GraphGeneration { graph: Arc::new(graph), index: Arc::new(tree), cache, number };
+        let report = UpdateReport {
+            generation: number,
+            deltas_applied,
+            strategy,
+            subcore_touched: touched,
+            touched_fraction: touched as f64 / n0 as f64,
+            cache_carried,
+            cache_dropped,
+        };
+        Ok((next, report))
+    }
 }
 
 /// Which maintenance path [`Engine::apply_updates`] took for a delta batch.
@@ -117,9 +278,8 @@ pub struct Engine {
     /// so concurrent updates cannot stage against the same base generation
     /// and silently lose each other's deltas. Readers never take it.
     update_lock: Mutex<()>,
-    cache_capacity: usize,
     threads: usize,
-    rebuild_threshold: f64,
+    settings: Maintenance,
 }
 
 /// Default [`EngineBuilder::rebuild_threshold`]: fall back to a full rebuild
@@ -183,19 +343,23 @@ impl EngineBuilder {
     /// Builds the engine, constructing the CL-tree (`advanced` builder,
     /// inverted lists enabled) if no index was supplied.
     pub fn build(self) -> Engine {
-        let index = self.index.unwrap_or_else(|| Arc::new(build_advanced(&self.graph, true)));
-        let generation = GraphGeneration {
-            graph: self.graph,
-            index,
-            cache: IndexCache::with_capacity(self.cache_capacity),
-            number: 1,
+        let generation = match self.index {
+            Some(index) => GraphGeneration {
+                graph: self.graph,
+                index,
+                cache: IndexCache::with_capacity(self.cache_capacity),
+                number: 1,
+            },
+            None => GraphGeneration::build(self.graph, self.cache_capacity, 1),
         };
         Engine {
             current: RwLock::new(Arc::new(generation)),
             update_lock: Mutex::new(()),
-            cache_capacity: self.cache_capacity,
             threads: self.threads,
-            rebuild_threshold: self.rebuild_threshold,
+            settings: Maintenance {
+                cache_capacity: self.cache_capacity,
+                rebuild_threshold: self.rebuild_threshold,
+            },
         }
     }
 }
@@ -275,7 +439,7 @@ impl Engine {
             "swap_index: index covers a different vertex count than the engine's current graph \
              (did the graph advance via apply_updates since the index was built?)"
         );
-        self.publish(graph, index, IndexCache::with_capacity(self.cache_capacity))
+        self.publish_fresh(graph, index)
     }
 
     /// Rebuilds the index from the engine's current graph and publishes it —
@@ -285,7 +449,7 @@ impl Engine {
         let _writer = self.update_lock.lock().expect("engine update lock poisoned");
         let graph = self.graph();
         let index = Arc::new(build_advanced(&graph, true));
-        self.publish(graph, index, IndexCache::with_capacity(self.cache_capacity))
+        self.publish_fresh(graph, index)
     }
 
     /// Applies a batch of [`GraphDelta`]s and publishes the updated
@@ -320,10 +484,11 @@ impl Engine {
     /// Like [`apply_updates`](Self::apply_updates), but first interns `terms`
     /// into the staged graph's keyword dictionary, in order.
     ///
-    /// This is the dictionary-alignment hook for sharded execution
-    /// ([`ShardedEngine`](crate::ShardedEngine)): a shard only receives the
+    /// This is the dictionary-alignment hook for engines that hold one
+    /// partition of a graph (what [`ShardedEngine`](crate::ShardedEngine)
+    /// does with each shard's generation): a partition only receives the
     /// deltas it owns, but keyword ids are assigned by interning order, so
-    /// every shard must intern **all** terms of the batch — in batch scan
+    /// every partition must intern the batch's new terms — in batch scan
     /// order — before applying its own slice. Interning an already-known
     /// term is a no-op, so passing extra terms never changes ids.
     pub fn apply_updates_interning(
@@ -332,129 +497,31 @@ impl Engine {
         deltas: &[GraphDelta],
     ) -> Result<UpdateReport, GraphError> {
         let _writer = self.update_lock.lock().expect("engine update lock poisoned");
-        let base = self.snapshot();
-        let mut graph = (*base.graph).clone();
-        for term in terms {
-            graph.intern_keyword(term);
-        }
-        let mut tree = (*base.index).clone();
-        let n0 = base.graph.num_vertices().max(1);
+        let (next, report) = self.snapshot().stage(terms, deltas, self.settings)?;
+        self.publish(next);
+        Ok(report)
+    }
 
-        let mut deltas_applied = 0usize;
-        let mut touched = 0usize;
-        let mut skeleton_stable = true;
-        let mut full_rebuild = false;
-        // Nodes whose cached pools (keyword-dependent) / cores
-        // (membership-dependent) a delta staled; only consulted while the
-        // skeleton stays stable.
-        let mut stale_pools: HashSet<NodeId> = HashSet::new();
-        let mut stale_cores: HashSet<NodeId> = HashSet::new();
-        // Whether the universe size grew: cached pools are `VertexSubset`s
-        // over the *old* vertex count, whose word buffers would be too short
-        // for the new graph at a 64-bit word boundary — so no pool survives
-        // a vertex insert. (Core entries are plain id lists, universe-free.)
-        let mut vertices_inserted = false;
+    /// Publishes `index` (built for `graph`, the current graph) as the next
+    /// generation, with an empty cache. The caller holds the update lock.
+    fn publish_fresh(&self, graph: Arc<AttributedGraph>, index: Arc<ClTree>) -> u64 {
+        let cache = IndexCache::with_capacity(self.settings.cache_capacity);
+        let number = self.snapshot().number + 1;
+        self.publish(GraphGeneration { graph, index, cache, number })
+    }
 
-        for delta in deltas {
-            let applied = graph.apply_deltas_in_place(std::slice::from_ref(delta))?;
-            deltas_applied += applied.len();
-            for record in applied {
-                match record {
-                    AppliedDelta::EdgeInserted(u, v) | AppliedDelta::EdgeRemoved(u, v) => {
-                        if full_rebuild {
-                            continue;
-                        }
-                        if touched as f64 >= self.rebuild_threshold * n0 as f64 {
-                            full_rebuild = true;
-                            continue;
-                        }
-                        let inserted = matches!(record, AppliedDelta::EdgeInserted(..));
-                        let report = if inserted {
-                            maintenance::apply_edge_insertion_in_place(&mut tree, &graph, u, v)
-                        } else {
-                            maintenance::apply_edge_removal_in_place(&mut tree, &graph, u, v)
-                        };
-                        touched += report.subcore_size;
-                        skeleton_stable &= !report.skeleton_rebuilt;
-                    }
-                    AppliedDelta::KeywordAdded(v, kw) => {
-                        if !full_rebuild {
-                            maintenance::apply_keyword_insertion(&mut tree, v, kw);
-                            if skeleton_stable {
-                                stale_pools.extend(tree.node_path_to_root(tree.node_of(v)));
-                            }
-                        }
-                    }
-                    AppliedDelta::KeywordRemoved(v, kw) => {
-                        if !full_rebuild {
-                            maintenance::apply_keyword_removal(&mut tree, v, kw);
-                            if skeleton_stable {
-                                stale_pools.extend(tree.node_path_to_root(tree.node_of(v)));
-                            }
-                        }
-                    }
-                    AppliedDelta::VertexInserted(v) => {
-                        vertices_inserted = true;
-                        if !full_rebuild {
-                            maintenance::apply_vertex_insertion(&mut tree, &graph, v);
-                            if skeleton_stable {
-                                stale_cores.insert(tree.root());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let strategy = if full_rebuild {
-            // Preserve the engine's inverted-list configuration: an ablation
-            // engine built without lists must not gain them on a rebuild.
-            tree = build_advanced(&graph, tree.has_inverted_lists());
-            UpdateStrategy::FullRebuild
-        } else if skeleton_stable {
-            UpdateStrategy::IncrementalStableSkeleton
-        } else {
-            UpdateStrategy::IncrementalRebuiltSkeleton
+    /// Installs a fully staged generation and returns its number. The write
+    /// lock is held for the pointer swap only: the superseded generation is
+    /// released after the guard, so freeing whatever only it held never
+    /// blocks readers waiting on the lock.
+    fn publish(&self, generation: GraphGeneration) -> u64 {
+        let number = generation.number;
+        let superseded = {
+            let mut current = self.current.write().expect("engine generation lock poisoned");
+            std::mem::replace(&mut *current, Arc::new(generation))
         };
-
-        let cache = IndexCache::with_capacity(self.cache_capacity);
-        let (cache_carried, cache_dropped) =
-            if matches!(strategy, UpdateStrategy::IncrementalStableSkeleton) {
-                cache.carry_from(&base.cache, |key| match key.kind {
-                    CacheKind::Core => !stale_cores.contains(&key.node),
-                    CacheKind::Pool => !vertices_inserted && !stale_pools.contains(&key.node),
-                })
-            } else {
-                let dropped = base.cache.len() as u64;
-                cache.note_swap_drop(dropped);
-                (0, dropped)
-            };
-
-        let generation = self.publish(Arc::new(graph), Arc::new(tree), cache);
-        Ok(UpdateReport {
-            generation,
-            deltas_applied,
-            strategy,
-            subcore_touched: touched,
-            touched_fraction: touched as f64 / n0 as f64,
-            cache_carried,
-            cache_dropped,
-        })
-    }
-
-    /// Installs a fully staged generation under the write lock (held only for
-    /// the pointer swap) and returns its number.
-    fn publish(&self, graph: Arc<AttributedGraph>, index: Arc<ClTree>, cache: IndexCache) -> u64 {
-        let mut current = self.current.write().expect("engine generation lock poisoned");
-        let number = current.number + 1;
-        *current = Arc::new(GraphGeneration { graph, index, cache, number });
+        drop(superseded);
         number
-    }
-
-    /// Number of entries currently held by the published generation's cache
-    /// (the count a wholesale swap would drop).
-    pub(crate) fn cache_len(&self) -> usize {
-        self.snapshot().cache.len()
     }
 
     fn snapshot(&self) -> Arc<GraphGeneration> {
@@ -464,14 +531,7 @@ impl Engine {
 
 impl Executor for Engine {
     fn execute(&self, request: &Request) -> Result<Response, QueryError> {
-        let generation = self.snapshot();
-        execute_on(
-            &generation.graph,
-            &generation.index,
-            &generation.cache,
-            generation.number,
-            request,
-        )
+        self.snapshot().execute(request)
     }
 
     /// Fans the batch out over the configured worker pool, answering **in
@@ -480,17 +540,7 @@ impl Executor for Engine {
     /// [`apply_updates`](Engine::apply_updates) never splits a batch across
     /// generations (or across graphs).
     fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
-        let generation = self.snapshot();
-        let workers = pool::effective_threads(self.threads, requests.len());
-        pool::map_ordered(requests, workers, |_, request| {
-            execute_on(
-                &generation.graph,
-                &generation.index,
-                &generation.cache,
-                generation.number,
-                request,
-            )
-        })
+        self.snapshot().execute_batch(self.threads, requests)
     }
 }
 

@@ -8,8 +8,8 @@
 //! **byte-identical** to single-engine execution (enforced by
 //! `tests/property_sharding.rs`). A [`ShardedEngine`] packs the components
 //! into `num_shards` balanced buckets ([`GraphPartition::by_components`]),
-//! builds one full [`Engine`] per bucket — own generation handle, own
-//! segmented index cache, own batch worker pool — and:
+//! builds one graph generation per bucket — own graph, CL-tree and segmented
+//! index cache — and:
 //!
 //! * **scatters** a query batch by routing each [`Request`] to the shard
 //!   owning its vertex (ids remapped global→local through the partition's
@@ -33,28 +33,28 @@
 //! to the lightest shard, same-shard edge and keyword deltas are remapped to
 //! local ids, and a cross-shard edge **removal** is dropped (components never
 //! span shards, so the edge cannot exist — a no-op, counted exactly like the
-//! single-engine no-op path). Keyword terms the batch interns are broadcast
-//! to **every** shard in batch scan order
-//! ([`Engine::apply_updates_interning`]), so a `KeywordId` keeps meaning the
-//! same term on every shard as on the mirror. A cross-shard edge *insertion*
-//! merges two components and falls back to a repartition: the component
-//! packing is recomputed from the updated mirror and every shard engine is
-//! rebuilt from its new induced subgraph.
+//! single-engine no-op path). Keyword terms the batch interns that the
+//! mirror's dictionary has not seen are broadcast to **every** shard in
+//! batch scan order, so a `KeywordId` keeps meaning the same term on every
+//! shard as on the mirror; a shard with no routed delta and no new term is
+//! left as it is. A cross-shard edge *insertion* merges two components and
+//! falls back to a repartition: the component packing is recomputed from
+//! the updated mirror and every shard is rebuilt from its new induced
+//! subgraph.
 //!
 //! # Consistency
 //!
-//! Reads are per-shard snapshot-atomic: each answer comes from exactly one
-//! published shard generation, and a repartition swaps mirror + partition +
-//! engines in one atomic publish. During a concurrent `apply_updates`
-//! ([`ShardedEngine::apply_updates`]) the routing state is published before
-//! the per-shard deltas land, so a racing query may briefly pair the new
-//! logical generation stamp with a shard's pre-update answer (or observe a
-//! just-inserted vertex as unknown) — the same old-or-new ambiguity a
-//! single-engine racing query has, relaxed to per-shard granularity.
-//! Sequential callers always observe consistent stamps.
+//! Every shard's next generation is staged off to the side (cheap: a
+//! generation shares every part no delta touched with its predecessor), and
+//! the mirror, the routing maps and all shard generations are published in
+//! one atomic swap. A query runs entirely on the state it loaded, so its
+//! answer always equals the single-engine answer of the generation it is
+//! stamped with.
 
 use crate::exec::{CacheStats, DEFAULT_CACHE_CAPACITY};
-use crate::owned::{Engine, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD};
+use crate::owned::{
+    Engine, GraphGeneration, Maintenance, UpdateReport, UpdateStrategy, DEFAULT_REBUILD_THRESHOLD,
+};
 use crate::query::QueryError;
 use crate::request::{Executor, Request, Response};
 use acq_graph::{AttributedGraph, GraphDelta, GraphError, GraphPartition, VertexId};
@@ -101,24 +101,24 @@ pub struct ShardStatus {
     pub shard: usize,
     /// Vertices owned by the shard.
     pub vertices: usize,
-    /// The shard engine's own generation number (bumped only by updates that
+    /// The shard's own generation number (bumped only by updates that
     /// touched this shard; distinct from the sharded engine's logical
     /// generation).
     pub generation: u64,
-    /// The shard engine's index-cache counters.
+    /// The shard's index-cache counters.
     pub cache: CacheStats,
 }
 
 /// Everything a query routes through, published atomically: the full-graph
 /// mirror (validation + update staging), the component partition (routing
-/// maps) and the per-shard engines. On the in-place update path the engines
-/// are shared with the previous state; a repartition replaces them
-/// wholesale, so in-flight queries finish on the engines they snapshotted.
+/// maps) and one generation snapshot per shard. An update replaces the
+/// generations of the shards it touched and shares the rest with the
+/// previous state; in-flight queries finish on the state they loaded.
 #[derive(Debug)]
 struct ShardState {
     mirror: Arc<AttributedGraph>,
     partition: GraphPartition,
-    engines: Vec<Arc<Engine>>,
+    shards: Vec<Arc<GraphGeneration>>,
     generation: u64,
 }
 
@@ -151,7 +151,7 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets the worker count of each shard engine's batch pool. Defaults to
+    /// Sets the worker count of each shard's batch pool. Defaults to
     /// `1`: the scatter already runs one worker per busy shard, so per-shard
     /// pools multiply threads — raise this only for few-shard configurations
     /// with large per-shard batches (`0` = one per core).
@@ -161,7 +161,7 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets each shard engine's touched-subcore rebuild threshold (see
+    /// Sets each shard's touched-subcore rebuild threshold (see
     /// [`EngineBuilder::rebuild_threshold`](crate::EngineBuilder::rebuild_threshold);
     /// the fraction is relative to the **shard's** vertex count).
     #[must_use]
@@ -171,7 +171,7 @@ impl ShardedEngineBuilder {
     }
 
     /// Builds the sharded engine: partitions the graph by components and
-    /// constructs one engine (graph, CL-tree, cache) per shard.
+    /// constructs one generation (graph, CL-tree, cache) per shard.
     pub fn build(self) -> ShardedEngine {
         let num_shards = if self.num_shards == 0 {
             thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -179,51 +179,41 @@ impl ShardedEngineBuilder {
             self.num_shards
         };
         let partition = GraphPartition::by_components(&self.graph, num_shards);
-        let engines = build_shard_engines(
-            &self.graph,
-            &partition,
-            self.cache_capacity,
-            self.threads,
-            self.rebuild_threshold,
-        );
+        let shards = build_shards(&self.graph, &partition, self.cache_capacity);
         ShardedEngine {
             state: RwLock::new(Arc::new(ShardState {
                 mirror: self.graph,
                 partition,
-                engines,
+                shards,
                 generation: 1,
             })),
             update_lock: Mutex::new(()),
-            cache_capacity: self.cache_capacity,
             threads: self.threads,
-            rebuild_threshold: self.rebuild_threshold,
+            settings: Maintenance {
+                cache_capacity: self.cache_capacity,
+                rebuild_threshold: self.rebuild_threshold,
+            },
         }
     }
 }
 
-/// Materialises every shard's induced subgraph and builds an engine for it.
-fn build_shard_engines(
+/// Materialises every shard's induced subgraph and builds its first
+/// generation.
+fn build_shards(
     mirror: &Arc<AttributedGraph>,
     partition: &GraphPartition,
     cache_capacity: usize,
-    threads: usize,
-    rebuild_threshold: f64,
-) -> Vec<Arc<Engine>> {
+) -> Vec<Arc<GraphGeneration>> {
     (0..partition.num_shards())
         .map(|shard| {
             let subgraph = Arc::new(partition.extract_shard(mirror, shard));
-            Arc::new(
-                Engine::builder(subgraph)
-                    .cache_capacity(cache_capacity)
-                    .threads(threads)
-                    .rebuild_threshold(rebuild_threshold)
-                    .build(),
-            )
+            Arc::new(GraphGeneration::build(subgraph, cache_capacity, 1))
         })
         .collect()
 }
 
-/// The sharded scatter-gather executor: one [`Engine`] per component bucket,
+/// The sharded scatter-gather executor: one graph generation per component
+/// bucket,
 /// one [`Executor`] door, answers byte-identical to a single engine over the
 /// full graph.
 ///
@@ -245,9 +235,8 @@ pub struct ShardedEngine {
     /// Serialises writers so concurrent updates cannot stage against the
     /// same mirror and silently lose each other's deltas.
     update_lock: Mutex<()>,
-    cache_capacity: usize,
     threads: usize,
-    rebuild_threshold: f64,
+    settings: Maintenance,
 }
 
 impl ShardedEngine {
@@ -270,7 +259,7 @@ impl ShardedEngine {
 
     /// Number of shards (fixed at construction).
     pub fn num_shards(&self) -> usize {
-        self.state().engines.len()
+        self.state().shards.len()
     }
 
     /// A snapshot of the full-graph mirror every shard subgraph is induced
@@ -281,18 +270,18 @@ impl ShardedEngine {
 
     /// The logical generation number: starts at 1 and is bumped by every
     /// [`apply_updates`](Self::apply_updates), mirroring the single-engine
-    /// numbering (individual shard engines bump their own generations only
-    /// when an update touches them).
+    /// numbering (individual shards bump their own generations only when an
+    /// update touches them).
     pub fn generation(&self) -> u64 {
         self.state().generation
     }
 
-    /// Index-cache counters summed across every shard engine.
+    /// Index-cache counters summed across every shard.
     pub fn cache_stats(&self) -> CacheStats {
         let state = self.state();
         let mut total = CacheStats::default();
-        for engine in &state.engines {
-            let stats = engine.cache_stats();
+        for shard in &state.shards {
+            let stats = shard.cache.stats();
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.evictions += stats.evictions;
@@ -306,14 +295,14 @@ impl ShardedEngine {
     pub fn shard_status(&self) -> Vec<ShardStatus> {
         let state = self.state();
         state
-            .engines
+            .shards
             .iter()
             .enumerate()
-            .map(|(shard, engine)| ShardStatus {
+            .map(|(shard, generation)| ShardStatus {
                 shard,
                 vertices: state.partition.shard_len(shard),
-                generation: engine.generation(),
-                cache: engine.cache_stats(),
+                generation: generation.number,
+                cache: generation.cache.stats(),
             })
             .collect()
     }
@@ -323,11 +312,12 @@ impl ShardedEngine {
     /// `deltas_applied` count are byte-identical to
     /// [`Engine::apply_updates`] on the full graph; the report's strategy is
     /// the worst any shard took and the work counters are summed over the
-    /// shards. On `Err` nothing is published and no shard is touched.
+    /// shards. The mirror, the routing maps and every shard's next
+    /// generation are published in one swap; on `Err` nothing is.
     pub fn apply_updates(&self, deltas: &[GraphDelta]) -> Result<UpdateReport, GraphError> {
         let _writer = self.update_lock.lock().expect("sharded engine update lock poisoned");
         let state = self.state();
-        let num_shards = state.engines.len();
+        let num_shards = state.shards.len();
         let pre_n = state.mirror.num_vertices();
 
         // Stage the mirror first: one whole-batch validation pass with
@@ -335,10 +325,13 @@ impl ShardedEngine {
         let mut staged = (*state.mirror).clone();
         let deltas_applied = staged.apply_deltas_in_place(deltas)?.len();
         let mirror = Arc::new(staged);
+        let generation = state.generation + 1;
 
-        // The broadcast-intern set: every term the batch interns, in batch
-        // scan order — the order the mirror (and a single engine) assigned
-        // ids in. `RemoveKeyword` never interns and is deliberately absent.
+        // The broadcast-intern set: every term the batch interns that the
+        // mirror did not know, in batch scan order — the order the mirror
+        // (and a single engine) assigned ids in. Every shard dictionary
+        // equals the mirror's, so known terms need no broadcast.
+        // `RemoveKeyword` never interns and is deliberately absent.
         let mut terms: Vec<&str> = Vec::new();
         for delta in deltas {
             match delta {
@@ -349,6 +342,7 @@ impl ShardedEngine {
                 _ => {}
             }
         }
+        terms.retain(|term| state.mirror.dictionary().get(term).is_none());
 
         // Route each delta to its owning shard against the evolving
         // partition, remapping ids global→local.
@@ -405,20 +399,12 @@ impl ShardedEngine {
         if crossing {
             // A cross-shard edge insertion merges two components: recompute
             // the packing from the updated mirror and rebuild every shard
-            // engine from its new induced subgraph, published as one atomic
-            // state swap (in-flight queries finish on the old engines).
+            // from its new induced subgraph.
             let partition = GraphPartition::by_components(&mirror, num_shards);
             let cache_dropped: u64 =
-                state.engines.iter().map(|engine| engine.cache_len() as u64).sum();
-            let engines = build_shard_engines(
-                &mirror,
-                &partition,
-                self.cache_capacity,
-                self.threads,
-                self.rebuild_threshold,
-            );
-            let generation = state.generation + 1;
-            self.publish(ShardState { mirror, partition, engines, generation });
+                state.shards.iter().map(|shard| shard.cache.len() as u64).sum();
+            let shards = build_shards(&mirror, &partition, self.settings.cache_capacity);
+            self.publish(ShardState { mirror, partition, shards, generation });
             return Ok(UpdateReport {
                 generation,
                 deltas_applied,
@@ -430,24 +416,19 @@ impl ShardedEngine {
             });
         }
 
-        // Publish the routing state before the per-shard deltas land:
-        // existing local ids are stable under appends, so a racing query
-        // either reaches a not-yet-updated shard (the old answer — legal
-        // old-or-new ambiguity) or sees a just-inserted vertex as unknown,
-        // but can never read a community member the partition cannot remap.
-        let generation = state.generation + 1;
-        self.publish(ShardState { mirror, partition, engines: state.engines.clone(), generation });
-
+        let mut shards = Vec::with_capacity(num_shards);
         let mut strategy = UpdateStrategy::IncrementalStableSkeleton;
         let mut subcore_touched = 0usize;
         let (mut cache_carried, mut cache_dropped) = (0u64, 0u64);
-        for (shard, local_deltas) in routed.into_iter().enumerate() {
+        for (base, local_deltas) in state.shards.iter().zip(routed) {
             if local_deltas.is_empty() && terms.is_empty() {
+                shards.push(Arc::clone(base));
                 continue;
             }
             // Unreachable by construction: the routed slices were validated
             // wholesale against the mirror above.
-            let report = state.engines[shard].apply_updates_interning(&terms, &local_deltas)?;
+            let (next, report) = base.stage(&terms, &local_deltas, self.settings)?;
+            shards.push(Arc::new(next));
             if strategy_rank(report.strategy) > strategy_rank(strategy) {
                 strategy = report.strategy;
             }
@@ -455,6 +436,7 @@ impl ShardedEngine {
             cache_carried += report.cache_carried;
             cache_dropped += report.cache_dropped;
         }
+        self.publish(ShardState { mirror, partition, shards, generation });
         Ok(UpdateReport {
             generation,
             deltas_applied,
@@ -466,8 +448,14 @@ impl ShardedEngine {
         })
     }
 
+    /// Installs a fully staged state. The write lock is held for the pointer
+    /// swap only; the superseded state is released after the guard.
     fn publish(&self, state: ShardState) {
-        *self.state.write().expect("sharded engine state lock poisoned") = Arc::new(state);
+        let superseded = {
+            let mut current = self.state.write().expect("sharded engine state lock poisoned");
+            std::mem::replace(&mut *current, Arc::new(state))
+        };
+        drop(superseded);
     }
 
     fn state(&self) -> Arc<ShardState> {
@@ -486,8 +474,7 @@ fn strategy_rank(strategy: UpdateStrategy) -> u8 {
 
 /// Finishes one shard answer: remaps community members local→global (a
 /// monotone remap — sorted stays sorted), stamps the logical generation, and
-/// surfaces the global id on the one error a shard can raise for a globally
-/// validated vertex (an unknown local id during an update race).
+/// surfaces the global id on an unknown-vertex error.
 fn finish(
     result: Result<Response, QueryError>,
     globals: &[VertexId],
@@ -564,7 +551,7 @@ impl Executor for ShardedEngine {
         let mut local = request.clone();
         local.vertex = state.partition.local_id(request.vertex);
         finish(
-            state.engines[shard].execute(&local),
+            state.shards[shard].execute(&local),
             state.partition.global_ids(shard),
             state.generation,
             request.vertex,
@@ -574,14 +561,13 @@ impl Executor for ShardedEngine {
     /// Scatters the batch across the shards and gathers the answers in
     /// **input order**. Requests that fail global validation are answered in
     /// place without being routed; the rest run as one per-shard sub-batch
-    /// each, so every answer is served from a single generation snapshot of
-    /// its shard.
+    /// each, all on the shard generations of the one state the batch loaded.
     fn execute_batch(&self, requests: &[Request]) -> Vec<Result<Response, QueryError>> {
         let state = self.state();
         let mut slots: Vec<Option<Result<Response, QueryError>>> = Vec::new();
         slots.resize_with(requests.len(), || None);
         let mut groups: Vec<Vec<(usize, (Request, VertexId))>> =
-            vec![Vec::new(); state.engines.len()];
+            vec![Vec::new(); state.shards.len()];
         for (slot, request) in requests.iter().enumerate() {
             match request.validate(&state.mirror) {
                 Err(error) => slots[slot] = Some(Err(error)),
@@ -597,6 +583,7 @@ impl Executor for ShardedEngine {
         let tasks: Vec<(usize, RoutedGroup)> =
             groups.into_iter().enumerate().filter(|(_, group)| !group.is_empty()).collect();
         let run_state = Arc::clone(&state);
+        let threads = self.threads;
         scatter_gather(
             &mut slots,
             tasks,
@@ -606,7 +593,7 @@ impl Executor for ShardedEngine {
                     .into_iter()
                     .map(|(slot, (local, vertex))| ((slot, vertex), local))
                     .unzip();
-                let results = run_state.engines[shard].execute_batch(&locals);
+                let results = run_state.shards[shard].execute_batch(threads, &locals);
                 meta.into_iter()
                     .zip(results)
                     .map(|((slot, vertex), result)| {

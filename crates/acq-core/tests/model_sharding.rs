@@ -1,7 +1,8 @@
 //! Model checks for the scatter-gather protocol: gathered answers never
-//! leave input order, and a concurrent writer can only ever make a reader
-//! see each shard's old answer or its new answer — never a torn mix, never
-//! a swap between slots.
+//! leave input order, a concurrent writer can only ever make a reader see
+//! each shard's old answer or its new answer — never a torn mix, never a
+//! swap between slots — and every answer equals the single-engine answer of
+//! the generation it is stamped with.
 //!
 //! Under `--cfg acq_model` these explore every bounded interleaving of the
 //! shard workers and a writer; in normal builds they run once on real
@@ -11,7 +12,7 @@
 //! unit tests in `acq-core/src/shard.rs`, because the model scheduler
 //! treats any real panic as a failed schedule by design.)
 
-use acq_core::{Executor, Request, ShardedEngine};
+use acq_core::{Engine, Executor, Request, ShardedEngine};
 use acq_graph::{AttributedGraph, GraphBuilder, GraphDelta, KeywordId, VertexId};
 use acq_sync::model::model;
 use acq_sync::sync::Arc;
@@ -90,6 +91,64 @@ fn gathered_answers_keep_input_order_under_concurrent_updates() {
             slot1.result.communities[0].vertices,
             vec![VertexId(3), VertexId(4), VertexId(5)],
             "slot 1 must hold vertex 3's community under every interleaving"
+        );
+    });
+}
+
+/// Generation stamps never lag: while a writer strips `x` from vertex 2 on
+/// one shard, every answer a two-shard batch or a single query returns is
+/// exactly what a single engine answers at the generation the answer is
+/// stamped with — a pre-write answer stamped with the post-write
+/// generation fails here.
+#[test]
+fn every_stamp_names_the_generation_that_answered() {
+    model(|| {
+        let (graph, x, y) = two_triangles();
+        let requests = vec![
+            Request::community(VertexId(0)).k(2).exact_keywords([x]),
+            Request::community(VertexId(3)).k(2).exact_keywords([y]),
+        ];
+        let deltas = [GraphDelta::remove_keyword(VertexId(2), "x")];
+
+        // The single-engine answers of generations 1 and 2.
+        let single = Engine::builder(Arc::clone(&graph)).cache_capacity(0).threads(1).build();
+        let before = single.execute_batch(&requests);
+        single.apply_updates(&deltas).expect("apply");
+        let after = single.execute_batch(&requests);
+        let want = |generation: u64, slot: usize| match generation {
+            1 => before[slot].as_ref().expect("answers").result.clone(),
+            2 => after[slot].as_ref().expect("answers").result.clone(),
+            other => panic!("stamp {other} names no published generation"),
+        };
+        assert_ne!(want(1, 0), want(2, 0), "the write must change slot 0's answer");
+
+        let engine = Arc::new(
+            ShardedEngine::builder(Arc::clone(&graph)).num_shards(2).cache_capacity(0).build(),
+        );
+        let writer = {
+            let engine = Arc::clone(&engine);
+            thread::spawn(move || {
+                engine.apply_updates(&deltas).expect("apply");
+            })
+        };
+        let batch = engine.execute_batch(&requests);
+        let single_query = engine.execute(&requests[0]).expect("query");
+        writer.join().expect("writer");
+
+        for (slot, answer) in batch.iter().enumerate() {
+            let answer = answer.as_ref().expect("answers");
+            assert_eq!(
+                answer.result,
+                want(answer.meta.generation, slot),
+                "slot {slot} stamped {} carries another generation's answer",
+                answer.meta.generation
+            );
+        }
+        assert_eq!(
+            single_query.result,
+            want(single_query.meta.generation, 0),
+            "query stamped {} carries another generation's answer",
+            single_query.meta.generation
         );
     });
 }

@@ -282,6 +282,13 @@ impl Client {
         self.stats
     }
 
+    /// Whether the live connection has `TCP_NODELAY` set; `None` while
+    /// disconnected. A test hook, not part of the supported interface.
+    #[doc(hidden)]
+    pub fn nodelay(&self) -> Option<bool> {
+        self.conn.as_ref().and_then(|conn| conn.writer.get_ref().nodelay().ok())
+    }
+
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -301,8 +308,12 @@ impl Client {
                 None => TcpStream::connect(addr),
             };
             match attempt.and_then(|stream| {
+                // Set before `try_clone` so both halves share the options.
+                // Without `TCP_NODELAY` a pipelined request waits for the
+                // server to acknowledge the previous one.
                 stream.set_read_timeout(self.config.read_timeout)?;
                 stream.set_write_timeout(self.config.write_timeout)?;
+                stream.set_nodelay(true)?;
                 let read_half = stream.try_clone()?;
                 Ok((stream, read_half))
             }) {

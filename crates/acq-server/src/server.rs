@@ -249,6 +249,16 @@ impl ServerHandle {
         snapshot(&self.shared)
     }
 
+    /// Whether each open connection has `TCP_NODELAY` set, in accept order.
+    /// A test hook, not part of the supported interface.
+    #[doc(hidden)]
+    pub fn connections_nodelay(&self) -> Vec<bool> {
+        lock_tolerant(&self.shared.conn_streams)
+            .iter()
+            .map(|(_, stream)| stream.nodelay().unwrap_or(false))
+            .collect()
+    }
+
     /// Stops accepting, closes every connection, joins every thread (the
     /// transactor applies already-queued writes first).
     pub fn shutdown(mut self) {
@@ -317,10 +327,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: &Sender<WriteJo
         }
         ServerMetrics::bump(&shared.metrics.connections_accepted);
         ServerMetrics::bump(&shared.metrics.connections_open);
-        // Socket timeouts must be set before `try_clone`: the options live on
-        // the shared file description, so the write half inherits them.
+        // Socket options must be set before `try_clone`: they live on the
+        // shared file description, so the write half inherits them. Nagle's
+        // algorithm is off: a small response must not wait for the peer to
+        // acknowledge the previous one (delayed ACK) before it is sent.
         let _ = stream.set_read_timeout(timeout_of(shared.config.read_timeout_ms));
         let _ = stream.set_write_timeout(timeout_of(shared.config.write_timeout_ms));
+        let _ = stream.set_nodelay(true);
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             lock_tolerant(&shared.conn_streams).push((conn_id, clone));

@@ -124,11 +124,13 @@ pub fn build_advanced_with_decomposition(
 
     debug_assert!(vertex_node.iter().all(|&id| id != usize::MAX));
 
-    let mut tree = ClTree::from_parts(nodes, root_id, vertex_node, decomposition);
-    if with_inverted_lists {
-        tree.attach_inverted_lists(graph);
-    }
-    tree
+    ClTree::from_parts(
+        nodes,
+        root_id,
+        vertex_node,
+        decomposition,
+        with_inverted_lists.then_some(graph),
+    )
 }
 
 #[cfg(test)]

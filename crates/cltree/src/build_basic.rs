@@ -37,11 +37,13 @@ pub fn build_basic_with_decomposition(
         }
     }
 
-    let mut tree = ClTree::from_parts(nodes, root_id, vertex_node, decomposition);
-    if with_inverted_lists {
-        tree.attach_inverted_lists(graph);
-    }
-    tree
+    ClTree::from_parts(
+        nodes,
+        root_id,
+        vertex_node,
+        decomposition,
+        with_inverted_lists.then_some(graph),
+    )
 }
 
 /// Recursive step of Algorithm 1, walking one core level at a time.

@@ -12,9 +12,10 @@
 //!   1. **Short-circuit** — when no core number moved *and* the update
 //!      provably cannot have merged or split any k-ĉore (see
 //!      [`apply_edge_insertion_with_report`]), the skeleton is byte-for-byte
-//!      the old one: the tree is cloned with the maintained decomposition
-//!      swapped in. Every node id stays valid, which is what lets the
-//!      engine's swap-aware cache carry entries across generations.
+//!      the old one: the tree keeps (and shares) every node, and only the
+//!      maintained decomposition is new. Every node id stays valid, which is
+//!      what lets the engine's swap-aware cache carry entries across
+//!      generations.
 //!   2. **Skeleton rebuild** — otherwise the tree skeleton is rebuilt from
 //!      the updated core numbers with the `advanced` builder, `O(m·α(n))`,
 //!      still skipping the `O(m)` from-scratch decomposition. The paper
@@ -55,7 +56,8 @@ impl MaintenanceReport {
 
 /// Registers a newly added keyword of `vertex` in the index. The caller must
 /// have already added the keyword to the graph (e.g. via
-/// [`AttributedGraph::with_keyword_added`]); this touches exactly one node.
+/// [`AttributedGraph::with_keyword_added`]); this touches exactly one node,
+/// copying that node and its one edited list if another tree shares them.
 pub fn apply_keyword_insertion(tree: &mut ClTree, vertex: VertexId, keyword: KeywordId) {
     let node = tree.node_of(vertex);
     if tree.has_inverted_lists() {
@@ -113,8 +115,9 @@ pub fn apply_edge_insertion_with_report(
 /// subtree, so no ĉore at any level can have merged (levels ≤ c share the
 /// node by nestedness; levels > c contain at most one endpoint), and the
 /// skeleton is kept verbatim — only the decomposition was maintained, at
-/// `O(touched subcore)` cost with **no** tree copy. Otherwise the skeleton is
-/// rebuilt from the maintained decomposition.
+/// `O(touched subcore)` cost plus one copy of the decomposition if another
+/// tree shares it, and **no** node copy. Otherwise the skeleton is rebuilt
+/// from the maintained decomposition.
 pub fn apply_edge_insertion_in_place(
     tree: &mut ClTree,
     graph: &AttributedGraph,
@@ -123,7 +126,7 @@ pub fn apply_edge_insertion_in_place(
 ) -> MaintenanceReport {
     let c = tree.core_number(u).min(tree.core_number(v));
     let outcome =
-        acq_kcore::maintenance::apply_edge_insertion(graph, &mut tree.decomposition, u, v);
+        acq_kcore::maintenance::apply_edge_insertion(graph, tree.decomposition_mut(), u, v);
     if outcome.changed == 0 {
         // Core numbers survived, so `tree`'s levels still describe the graph;
         // the only possible structural change is a merge of two ĉores at the
@@ -136,7 +139,7 @@ pub fn apply_edge_insertion_in_place(
     }
     *tree = build_advanced_with_decomposition(
         graph,
-        tree.decomposition.clone(),
+        tree.decomposition().clone(),
         tree.has_inverted_lists(),
     );
     MaintenanceReport::new(outcome, true)
@@ -175,7 +178,7 @@ pub fn apply_edge_removal_with_report(
 /// `≥ c = min(core(u), core(v))` (checked with a BFS bounded by that ĉore):
 /// then no ĉore split at level `c` — and by nestedness none below it, while
 /// levels above `c` never contained the edge — so the skeleton is kept
-/// verbatim with **no** tree copy; otherwise it is rebuilt from the
+/// verbatim with **no** node copy; otherwise it is rebuilt from the
 /// maintained decomposition.
 pub fn apply_edge_removal_in_place(
     tree: &mut ClTree,
@@ -184,7 +187,7 @@ pub fn apply_edge_removal_in_place(
     v: VertexId,
 ) -> MaintenanceReport {
     let c = tree.core_number(u).min(tree.core_number(v));
-    let outcome = acq_kcore::maintenance::apply_edge_removal(graph, &mut tree.decomposition, u, v);
+    let outcome = acq_kcore::maintenance::apply_edge_removal(graph, tree.decomposition_mut(), u, v);
     if outcome.changed == 0 {
         let still_connected = c == 0
             || acq_kcore::connected_kcore_containing(graph, tree.decomposition(), u, c)
@@ -195,7 +198,7 @@ pub fn apply_edge_removal_in_place(
     }
     *tree = build_advanced_with_decomposition(
         graph,
-        tree.decomposition.clone(),
+        tree.decomposition().clone(),
         tree.has_inverted_lists(),
     );
     MaintenanceReport::new(outcome, true)
@@ -218,6 +221,46 @@ mod tests {
         t.validate(&g2).unwrap();
         let node = t.node_of(b);
         assert!(t.node(node).vertices_with_keyword(music).contains(&b));
+    }
+
+    /// How many nodes two trees share (same allocation), by node id.
+    fn shared_nodes(a: &ClTree, b: &ClTree) -> usize {
+        a.nodes.iter().zip(&b.nodes).filter(|(x, y)| std::sync::Arc::ptr_eq(x, y)).count()
+    }
+
+    #[test]
+    fn keyword_maintenance_copies_only_the_owning_node() {
+        let g = paper_figure3_graph();
+        let old = build_advanced(&g, true);
+        let b = g.vertex_by_label("B").unwrap();
+        let x = g.dictionary().get("x").unwrap();
+        let z = g.dictionary().get("z").unwrap();
+        let mut new = old.clone();
+        assert_eq!(shared_nodes(&old, &new), old.num_nodes(), "a clone copies no node");
+        apply_keyword_insertion(&mut new, b, z);
+        assert_eq!(shared_nodes(&old, &new), old.num_nodes() - 1);
+        let owner = new.node_of(b);
+        assert!(!std::sync::Arc::ptr_eq(&old.nodes[owner], &new.nodes[owner]));
+        assert!(std::sync::Arc::ptr_eq(&old.vertex_node, &new.vertex_node));
+        assert!(std::sync::Arc::ptr_eq(&old.decomposition, &new.decomposition));
+        // Within the owner, only the edited list was copied.
+        let (before, after) = (&old.nodes[owner].inverted, &new.nodes[owner].inverted);
+        assert!(std::sync::Arc::ptr_eq(&before[&x], &after[&x]), "an untouched list was copied");
+        assert!(!old.node(owner).vertices_with_keyword(z).contains(&b), "old tree untouched");
+        new.validate(&g.with_keyword_added(b, "z").unwrap()).unwrap();
+    }
+
+    #[test]
+    fn edge_maintenance_copies_the_decomposition() {
+        let g = acq_graph::unlabeled_graph(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let old = build_advanced(&g, true);
+        let (u, v) = (acq_graph::VertexId(0), acq_graph::VertexId(2));
+        let g2 = g.with_edge_inserted(u, v).unwrap();
+        let (new, report) = apply_edge_insertion_with_report(&old, &g2, u, v);
+        assert!(!report.skeleton_rebuilt);
+        assert!(!std::sync::Arc::ptr_eq(&old.decomposition, &new.decomposition));
+        assert_eq!(shared_nodes(&old, &new), old.num_nodes(), "a kept skeleton copies no node");
+        assert!(std::sync::Arc::ptr_eq(&old.vertex_node, &new.vertex_node));
     }
 
     #[test]

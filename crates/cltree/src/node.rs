@@ -3,6 +3,7 @@
 use acq_graph::{KeywordId, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Index of a node inside a [`ClTree`](crate::ClTree)'s arena.
 pub type NodeId = usize;
@@ -21,7 +22,8 @@ pub struct ClTreeNode {
     pub vertices: Vec<VertexId>,
     /// Inverted keyword index over `vertices`: keyword → sorted owner list.
     /// A `BTreeMap` keeps iteration deterministic, which the tests rely on.
-    pub inverted: BTreeMap<KeywordId, Vec<VertexId>>,
+    /// Each list is shared between tree generations; an edit replaces it.
+    pub inverted: BTreeMap<KeywordId, Arc<[VertexId]>>,
     /// Child nodes (k-ĉores of larger core number nested inside this one).
     pub children: Vec<NodeId>,
     /// Parent node; `None` only for the root (core number 0).
@@ -49,7 +51,7 @@ impl ClTreeNode {
     /// The owned vertices whose keyword set contains `keyword`, according to
     /// the inverted list.
     pub fn vertices_with_keyword(&self, keyword: KeywordId) -> &[VertexId] {
-        self.inverted.get(&keyword).map(Vec::as_slice).unwrap_or(&[])
+        self.inverted.get(&keyword).map_or(&[], |list| list)
     }
 
     /// The owned vertices containing **all** keywords of `keywords`
@@ -71,22 +73,30 @@ impl ClTreeNode {
         }
     }
 
-    /// Registers `vertex` under `keyword` in the inverted list.
+    /// Registers `vertex` under `keyword` in the inverted list. The list is
+    /// replaced by a new one, so a tree generation sharing the old list
+    /// keeps it unchanged.
     pub fn add_keyword_entry(&mut self, keyword: KeywordId, vertex: VertexId) {
         let list = self.inverted.entry(keyword).or_default();
         if let Err(pos) = list.binary_search(&vertex) {
-            list.insert(pos, vertex);
+            let mut grown = Vec::with_capacity(list.len() + 1);
+            grown.extend_from_slice(&list[..pos]);
+            grown.push(vertex);
+            grown.extend_from_slice(&list[pos..]);
+            *list = grown.into();
         }
     }
 
-    /// Removes `vertex` from `keyword`'s inverted list (no-op if absent).
+    /// Removes `vertex` from `keyword`'s inverted list (no-op if absent),
+    /// replacing the list like [`add_keyword_entry`](Self::add_keyword_entry).
     pub fn remove_keyword_entry(&mut self, keyword: KeywordId, vertex: VertexId) {
         if let Some(list) = self.inverted.get_mut(&keyword) {
             if let Ok(pos) = list.binary_search(&vertex) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                self.inverted.remove(&keyword);
+                if list.len() == 1 {
+                    self.inverted.remove(&keyword);
+                } else {
+                    *list = list[..pos].iter().chain(&list[pos + 1..]).copied().collect();
+                }
             }
         }
     }

@@ -5,6 +5,8 @@ use crate::node::{ClTreeNode, NodeId};
 use acq_graph::{AttributedGraph, KeywordId, VertexId, VertexSubset};
 use acq_kcore::CoreDecomposition;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The CL-tree (Core Label tree) of Section 5 of the paper.
 ///
@@ -26,13 +28,20 @@ use serde::{Deserialize, Serialize};
 /// [`build_advanced`](crate::build_advanced); both produce the same canonical
 /// compressed tree (levels whose ĉore equals the ĉore one level deeper are
 /// skipped, so no node is empty except possibly the root).
+///
+/// Like the graph, a tree is a persistent structure: [`Clone`] copies one
+/// pointer per node, and a maintained tree shares every node, the
+/// vertex-node map and the decomposition with its predecessor until an edit
+/// copies them. A keyword edit copies one node's map spine and one inverted
+/// list; only edge and vertex maintenance touch the map and the
+/// decomposition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClTree {
-    pub(crate) nodes: Vec<ClTreeNode>,
+    pub(crate) nodes: Vec<Arc<ClTreeNode>>,
     pub(crate) root: NodeId,
     /// vertex → owning node (the paper's vertex-node map).
-    pub(crate) vertex_node: Vec<NodeId>,
-    pub(crate) decomposition: CoreDecomposition,
+    pub(crate) vertex_node: Arc<Vec<NodeId>>,
+    pub(crate) decomposition: Arc<CoreDecomposition>,
     /// Whether inverted lists were materialised (`false` for the `Basic-` /
     /// `Advanced-` and `Inc-S*` / `Inc-T*` ablation variants).
     pub(crate) with_inverted_lists: bool,
@@ -345,7 +354,7 @@ impl ClTree {
         if self.with_inverted_lists {
             for (id, node) in self.nodes.iter().enumerate() {
                 for (&kw, vs) in &node.inverted {
-                    for &v in vs {
+                    for &v in vs.iter() {
                         if !graph.keyword_set(v).contains(kw) {
                             return Err(format!(
                                 "node {id}: vertex {v} listed under keyword it lacks"
@@ -372,37 +381,55 @@ impl ClTree {
     pub fn memory_estimate_bytes(&self) -> usize {
         let vertex_entries: usize = self.nodes.iter().map(|n| n.vertices.len()).sum();
         let inverted_entries: usize =
-            self.nodes.iter().map(|n| n.inverted.values().map(Vec::len).sum::<usize>()).sum();
+            self.nodes.iter().map(|n| n.inverted.values().map(|l| l.len()).sum::<usize>()).sum();
         vertex_entries * std::mem::size_of::<VertexId>()
             + inverted_entries * std::mem::size_of::<VertexId>()
             + self.nodes.len() * std::mem::size_of::<ClTreeNode>()
             + self.vertex_node.len() * std::mem::size_of::<NodeId>()
     }
 
-    /// Internal constructor shared by the two build algorithms.
+    /// Internal constructor shared by the two build algorithms: fills the
+    /// inverted lists from `graph`'s keyword sets when asked, then seals the
+    /// nodes for sharing.
     pub(crate) fn from_parts(
-        nodes: Vec<ClTreeNode>,
+        mut nodes: Vec<ClTreeNode>,
         root: NodeId,
         vertex_node: Vec<NodeId>,
         decomposition: CoreDecomposition,
+        inverted_lists_of: Option<&AttributedGraph>,
     ) -> Self {
-        Self { nodes, root, vertex_node, decomposition, with_inverted_lists: false }
-    }
-
-    /// Fills every node's inverted list from the graph's keyword sets.
-    pub(crate) fn attach_inverted_lists(&mut self, graph: &AttributedGraph) {
-        for v in graph.vertices() {
-            let node = self.vertex_node[v.index()];
-            for kw in graph.keyword_set(v).iter() {
-                self.nodes[node].add_keyword_entry(kw, v);
+        if let Some(graph) = inverted_lists_of {
+            // Vertices are visited in ascending id order, so every list is
+            // built sorted by plain pushes.
+            let mut lists: Vec<BTreeMap<_, Vec<VertexId>>> = vec![BTreeMap::new(); nodes.len()];
+            for v in graph.vertices() {
+                for kw in graph.keyword_set(v).iter() {
+                    lists[vertex_node[v.index()]].entry(kw).or_default().push(v);
+                }
+            }
+            for (node, lists) in nodes.iter_mut().zip(lists) {
+                node.inverted = lists.into_iter().map(|(kw, list)| (kw, Arc::from(list))).collect();
             }
         }
-        self.with_inverted_lists = true;
+        Self {
+            nodes: nodes.into_iter().map(Arc::new).collect(),
+            root,
+            vertex_node: Arc::new(vertex_node),
+            decomposition: Arc::new(decomposition),
+            with_inverted_lists: inverted_lists_of.is_some(),
+        }
     }
 
-    /// Mutable node access for the maintenance module.
+    /// Mutable node access for the maintenance module (copies the node
+    /// first if another tree generation shares it).
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut ClTreeNode {
-        &mut self.nodes[id]
+        Arc::make_mut(&mut self.nodes[id])
+    }
+
+    /// Mutable access to the decomposition for edge maintenance (copies it
+    /// first if another tree generation shares it).
+    pub(crate) fn decomposition_mut(&mut self) -> &mut CoreDecomposition {
+        Arc::make_mut(&mut self.decomposition)
     }
 
     /// Registers a freshly appended **isolated** vertex (the graph must
@@ -412,15 +439,16 @@ impl ClTree {
     pub(crate) fn insert_isolated_vertex(&mut self, graph: &AttributedGraph, v: VertexId) {
         debug_assert_eq!(v.index(), self.vertex_node.len(), "vertex ids are dense and appended");
         debug_assert_eq!(graph.degree(v), 0, "only isolated vertices join the root directly");
-        self.decomposition.push_isolated();
-        self.vertex_node.push(self.root);
-        let root = self.root;
-        if let Err(pos) = self.nodes[root].vertices.binary_search(&v) {
-            self.nodes[root].vertices.insert(pos, v);
+        self.decomposition_mut().push_isolated();
+        Arc::make_mut(&mut self.vertex_node).push(self.root);
+        let with_inverted_lists = self.with_inverted_lists;
+        let root = self.node_mut(self.root);
+        if let Err(pos) = root.vertices.binary_search(&v) {
+            root.vertices.insert(pos, v);
         }
-        if self.with_inverted_lists {
+        if with_inverted_lists {
             for kw in graph.keyword_set(v).iter() {
-                self.nodes[root].add_keyword_entry(kw, v);
+                root.add_keyword_entry(kw, v);
             }
         }
     }

@@ -6,6 +6,7 @@ use crate::ids::{KeywordId, VertexId};
 use crate::keywords::{KeywordDictionary, KeywordSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// An undirected attributed graph `G(V, E)` in compressed sparse row form.
 ///
@@ -19,19 +20,63 @@ use std::collections::BTreeSet;
 /// The structure is immutable after construction; the update methods
 /// ([`with_edge_inserted`](Self::with_edge_inserted) and friends) return a new
 /// graph, which is what the CL-tree maintenance experiments operate on.
-#[derive(Debug, Clone, Serialize)]
+///
+/// A graph is a persistent structure: [`Clone`] copies pointers, not data, and
+/// an updated graph shares every array no delta touched with the graph it was
+/// derived from. Each per-vertex or per-edge array (CSR offsets and
+/// neighbours, bitmap arrays, keyword sets, labels) and the keyword
+/// dictionary sits behind its own `Arc`. The first delta of a batch that
+/// writes an array copies it, and later deltas of the batch edit that copy in
+/// place. A keyword edit copies the keyword-set array, which is one pointer
+/// per vertex because the sets themselves are shared; an edge delta copies
+/// the neighbour and offset arrays; a vertex insert copies the per-vertex
+/// arrays; only a term the dictionary has not seen copies the dictionary.
+#[derive(Debug, Clone)]
 pub struct AttributedGraph {
-    offsets: Vec<usize>,
-    neighbors: Vec<VertexId>,
-    keywords: Vec<KeywordSet>,
-    labels: Vec<Option<String>>,
-    dictionary: KeywordDictionary,
+    topology: Topology,
+    keywords: Arc<Vec<KeywordSet>>,
+    labels: Arc<Vec<Option<String>>>,
+    dictionary: Arc<KeywordDictionary>,
+}
+
+/// The edge structure of a graph: CSR arrays plus the derived bitmaps.
+#[derive(Debug, Clone)]
+struct Topology {
+    offsets: Arc<Vec<usize>>,
+    neighbors: Arc<Vec<VertexId>>,
     /// Derived acceleration structure — never serialized (it is a pure
     /// function of the CSR fields) and rebuilt on deserialization, so the
     /// wire format stays the pre-bitmap one and no bitmap invariant is ever
     /// trusted from external data.
-    #[serde(skip)]
     adjacency: AdjacencyBitmaps,
+}
+
+/// The wire format predates the shared layout: one object with the CSR
+/// arrays, the keyword sets, the labels and the dictionary, in that order.
+impl Serialize for AttributedGraph {
+    fn to_value(&self) -> serde::Value {
+        let fields = self.wire_fields().map(|(k, v)| (k.to_string(), v.to_value()));
+        serde::Value::Object(fields.into())
+    }
+
+    /// Streams the fields: a snapshot never holds the value tree of the
+    /// whole graph.
+    fn write_json(&self, out: &mut String) {
+        serde::write_object(&self.wire_fields(), out);
+    }
+}
+
+impl AttributedGraph {
+    /// The serialized fields, in wire order.
+    fn wire_fields(&self) -> [(&'static str, &dyn Serialize); 5] {
+        [
+            ("offsets", &self.topology.offsets),
+            ("neighbors", &self.topology.neighbors),
+            ("keywords", &self.keywords),
+            ("labels", &self.labels),
+            ("dictionary", &self.dictionary),
+        ]
+    }
 }
 
 impl Deserialize for AttributedGraph {
@@ -79,8 +124,12 @@ impl Deserialize for AttributedGraph {
                 ));
             }
         }
-        let adjacency = AdjacencyBitmaps::build(&offsets, &neighbors, n);
-        Ok(Self { offsets, neighbors, keywords, labels, dictionary, adjacency })
+        Ok(Self {
+            topology: Topology::new(offsets, neighbors),
+            keywords: Arc::new(keywords),
+            labels: Arc::new(labels),
+            dictionary: Arc::new(dictionary),
+        })
     }
 }
 
@@ -98,10 +147,12 @@ impl Deserialize for AttributedGraph {
 /// Under [`AttributedGraph::apply_deltas`] the structure is maintained
 /// *incrementally*: an edge delta flips one bit in each endpoint row, and a
 /// vertex crossing the `deg >= n/64` threshold is promoted (row appended) or
-/// demoted (row swap-removed, `owner_of_row` keeping the move `O(⌈n/64⌉)`).
-/// Only a vertex insertion that moves `⌈n/64⌉` (n reaching 64k+1: rows need
-/// another word) or `max(1, n/64)` (n reaching 128, 192, …: the threshold
-/// steps, demoting rows) forces a full rebuild — at most one rebuild per 64
+/// demoted (row swap-removed, `owner_of_row` naming the moved row's owner).
+/// The arrays are shared between generations: the first write of a staged
+/// graph to an array copies it, and later writes edit that copy. Only a
+/// vertex insertion that moves `⌈n/64⌉` (n reaching 64k+1: rows need another
+/// word) or `max(1, n/64)` (n reaching 128, 192, …: the threshold steps,
+/// demoting rows) forces a full rebuild — at most one rebuild per 64
 /// insertions.
 #[derive(Debug, Clone, Default)]
 struct AdjacencyBitmaps {
@@ -111,11 +162,11 @@ struct AdjacencyBitmaps {
     threshold: usize,
     /// Per-vertex row index into `rows` (in units of rows); `u32::MAX` means
     /// "no row — scan the CSR list".
-    row_of: Vec<u32>,
+    row_of: Arc<Vec<u32>>,
     /// Reverse map: the vertex owning each row (for swap-remove demotion).
-    owner_of_row: Vec<u32>,
+    owner_of_row: Arc<Vec<u32>>,
     /// Concatenated bitmap rows, `row_count * words_per_row` words.
-    rows: Vec<u64>,
+    rows: Arc<Vec<u64>>,
 }
 
 /// Sentinel in [`AdjacencyBitmaps::row_of`] for vertices without a row.
@@ -143,7 +194,13 @@ impl AdjacencyBitmaps {
             row_of[v] = u32::try_from(start / words_per_row).expect("row count fits u32");
             owner_of_row.push(v as u32);
         }
-        Self { words_per_row, threshold, row_of, owner_of_row, rows }
+        Self {
+            words_per_row,
+            threshold,
+            row_of: Arc::new(row_of),
+            owner_of_row: Arc::new(owner_of_row),
+            rows: Arc::new(rows),
+        }
     }
 
     /// Number of live rows.
@@ -160,42 +217,139 @@ impl AdjacencyBitmaps {
         }
         let word = row as usize * self.words_per_row + neighbor / 64;
         let mask = 1u64 << (neighbor % 64);
+        let rows = Arc::make_mut(&mut self.rows);
         if present {
-            self.rows[word] |= mask;
+            rows[word] |= mask;
         } else {
-            self.rows[word] &= !mask;
+            rows[word] &= !mask;
         }
     }
 
     /// Appends a row for `v`, filling it from its CSR neighbour list.
     fn promote(&mut self, v: usize, neighbors: &[VertexId]) {
         debug_assert_eq!(self.row_of[v], NO_ROW, "vertex already owns a row");
-        let start = self.rows.len();
-        self.rows.resize(start + self.words_per_row, 0u64);
+        let rows = Arc::make_mut(&mut self.rows);
+        let start = rows.len();
+        rows.resize(start + self.words_per_row, 0u64);
         for u in neighbors {
             let i = u.index();
-            self.rows[start + i / 64] |= 1u64 << (i % 64);
+            rows[start + i / 64] |= 1u64 << (i % 64);
         }
-        self.row_of[v] = u32::try_from(self.row_count()).expect("row count fits u32");
-        self.owner_of_row.push(v as u32);
+        Arc::make_mut(&mut self.row_of)[v] =
+            u32::try_from(self.row_count()).expect("row count fits u32");
+        Arc::make_mut(&mut self.owner_of_row).push(v as u32);
     }
 
     /// Removes `v`'s row by swapping the last row into its slot.
     fn demote(&mut self, v: usize) {
-        let row = self.row_of[v];
-        debug_assert_ne!(row, NO_ROW, "vertex owns no row to demote");
+        let row = self.row_of[v] as usize;
+        debug_assert_ne!(row, NO_ROW as usize, "vertex owns no row to demote");
         let last = self.row_count() - 1;
         let w = self.words_per_row;
-        if (row as usize) != last {
-            let (head, tail) = self.rows.split_at_mut(last * w);
-            head[row as usize * w..(row as usize + 1) * w].copy_from_slice(&tail[..w]);
-            let moved_owner = self.owner_of_row[last];
-            self.owner_of_row[row as usize] = moved_owner;
-            self.row_of[moved_owner as usize] = row;
+        let moved_owner = self.owner_of_row[last];
+        let rows = Arc::make_mut(&mut self.rows);
+        rows.copy_within(last * w..(last + 1) * w, row * w);
+        rows.truncate(last * w);
+        Arc::make_mut(&mut self.owner_of_row).swap_remove(row);
+        let row_of = Arc::make_mut(&mut self.row_of);
+        row_of[moved_owner as usize] = row as u32;
+        row_of[v] = NO_ROW;
+    }
+}
+
+impl Topology {
+    /// The topology of a finished CSR layout, bitmaps built from scratch.
+    fn new(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        let adjacency = AdjacencyBitmaps::build(&offsets, &neighbors, offsets.len() - 1);
+        Self { offsets: Arc::new(offsets), neighbors: Arc::new(neighbors), adjacency }
+    }
+
+    /// The sorted CSR row of vertex index `i`.
+    #[inline]
+    fn row(&self, i: usize) -> &[VertexId] {
+        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Splices the (validated, absent) edge `{u, v}` into both CSR rows and
+    /// maintains the hybrid bitmap: bit-flips on existing rows, promotion
+    /// when an endpoint's degree reaches the `n/64` threshold.
+    fn insert_edge(&mut self, u: VertexId, v: VertexId) {
+        let offsets = Arc::make_mut(&mut self.offsets);
+        let neighbors = Arc::make_mut(&mut self.neighbors);
+        for (a, b) in [(u, v), (v, u)] {
+            let i = a.index();
+            let row = &neighbors[offsets[i]..offsets[i + 1]];
+            let pos = offsets[i] + row.binary_search(&b).unwrap_err();
+            neighbors.insert(pos, b);
+            for off in &mut offsets[i + 1..] {
+                *off += 1;
+            }
         }
-        self.rows.truncate(last * w);
-        self.owner_of_row.pop();
-        self.row_of[v] = NO_ROW;
+        for (a, b) in [(u, v), (v, u)] {
+            let i = a.index();
+            if self.adjacency.row_of[i] != NO_ROW {
+                self.adjacency.flip_bit(i, b.index(), true);
+            } else if self.row(i).len() >= self.adjacency.threshold {
+                let row = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
+                self.adjacency.promote(i, row);
+            }
+        }
+    }
+
+    /// Removes the (validated, present) edge `{u, v}` from both CSR rows and
+    /// maintains the hybrid bitmap: bit-flips, demotion when an endpoint
+    /// falls below the threshold.
+    fn remove_edge(&mut self, u: VertexId, v: VertexId) {
+        let offsets = Arc::make_mut(&mut self.offsets);
+        let neighbors = Arc::make_mut(&mut self.neighbors);
+        for (a, b) in [(u, v), (v, u)] {
+            let i = a.index();
+            let row = &neighbors[offsets[i]..offsets[i + 1]];
+            let pos = offsets[i] + row.binary_search(&b).expect("edge present");
+            neighbors.remove(pos);
+            for off in &mut offsets[i + 1..] {
+                *off -= 1;
+            }
+        }
+        for (a, b) in [(u, v), (v, u)] {
+            let i = a.index();
+            if self.adjacency.row_of[i] != NO_ROW {
+                if self.row(i).len() < self.adjacency.threshold {
+                    self.adjacency.demote(i);
+                } else {
+                    self.adjacency.flip_bit(i, b.index(), false);
+                }
+            }
+        }
+    }
+
+    /// Appends an isolated vertex; rebuilds the bitmap only when the new
+    /// universe size moves `⌈n/64⌉` (at n = 64k+1) or the `max(1, n/64)`
+    /// threshold (at n = 128, 192, …) — at most once per 64 insertions —
+    /// otherwise the bitmap only gains an empty row-index entry.
+    fn push_vertex(&mut self) {
+        let m = self.neighbors.len();
+        Arc::make_mut(&mut self.offsets).push(m);
+        let n = self.offsets.len() - 1;
+        let words_changed = n.div_ceil(64) != self.adjacency.words_per_row;
+        let threshold_changed = (n / 64).max(1) != self.adjacency.threshold;
+        if words_changed || threshold_changed {
+            self.adjacency = AdjacencyBitmaps::build(&self.offsets, &self.neighbors, n);
+        } else {
+            Arc::make_mut(&mut self.adjacency.row_of).push(NO_ROW);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Topology {
+    /// Whether every array of `self` is the same allocation as `other`'s.
+    fn shares_all(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.offsets, &other.offsets)
+            && Arc::ptr_eq(&self.neighbors, &other.neighbors)
+            && Arc::ptr_eq(&self.adjacency.row_of, &other.adjacency.row_of)
+            && Arc::ptr_eq(&self.adjacency.owner_of_row, &other.adjacency.owner_of_row)
+            && Arc::ptr_eq(&self.adjacency.rows, &other.adjacency.rows)
     }
 }
 
@@ -209,7 +363,7 @@ impl AttributedGraph {
     /// Number of undirected edges `m = |E|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
+        self.topology.neighbors.len() / 2
     }
 
     /// Whether `v` is a valid vertex of this graph.
@@ -230,15 +384,14 @@ impl AttributedGraph {
     /// Panics if `v` is not a vertex of this graph.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let i = v.index();
-        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
+        self.topology.row(v.index())
     }
 
     /// Degree of `v` in the full graph, `deg_G(v)`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
         let i = v.index();
-        self.offsets[i + 1] - self.offsets[i]
+        self.topology.offsets[i + 1] - self.topology.offsets[i]
     }
 
     /// Whether the undirected edge `{u, v}` exists.
@@ -283,13 +436,14 @@ impl AttributedGraph {
     /// ([`neighbors`](Self::neighbors)) instead.
     #[inline]
     pub fn adjacency_row(&self, v: VertexId) -> Option<&[u64]> {
-        let row = self.adjacency.row_of[v.index()];
+        let adjacency = &self.topology.adjacency;
+        let row = adjacency.row_of[v.index()];
         if row == NO_ROW {
             return None;
         }
-        let w = self.adjacency.words_per_row;
+        let w = adjacency.words_per_row;
         let start = row as usize * w;
-        Some(&self.adjacency.rows[start..start + w])
+        Some(&adjacency.rows[start..start + w])
     }
 
     /// The degree at or above which a vertex owns an adjacency-bitmap row:
@@ -298,19 +452,21 @@ impl AttributedGraph {
     /// hybrid bitmap in `ARCHITECTURE.md`).
     #[inline]
     pub fn adjacency_bitmap_threshold(&self) -> usize {
-        self.adjacency.threshold
+        self.topology.adjacency.threshold
     }
 
     /// Number of vertices that own an adjacency-bitmap row.
     pub fn adjacency_bitmap_rows(&self) -> usize {
-        self.adjacency.rows.len().checked_div(self.adjacency.words_per_row).unwrap_or(0)
+        let adjacency = &self.topology.adjacency;
+        adjacency.rows.len().checked_div(adjacency.words_per_row).unwrap_or(0)
     }
 
     /// Memory spent on the hybrid adjacency bitmap, in bytes (rows plus the
     /// per-vertex row index).
     pub fn adjacency_bitmap_bytes(&self) -> usize {
-        self.adjacency.rows.len() * std::mem::size_of::<u64>()
-            + self.adjacency.row_of.len() * std::mem::size_of::<u32>()
+        let adjacency = &self.topology.adjacency;
+        adjacency.rows.len() * std::mem::size_of::<u64>()
+            + adjacency.row_of.len() * std::mem::size_of::<u32>()
     }
 
     /// Average vertex degree `d̂ = 2m / n` (0 for the empty graph).
@@ -345,16 +501,22 @@ impl AttributedGraph {
     /// same order — whether or not the deltas carrying them were routed to
     /// that shard — so a `KeywordId` means the same term on every shard as
     /// on the full graph.
+    ///
+    /// A known term is only looked up; the dictionary, which generations
+    /// share, is copied only to intern a term it has not seen.
     pub fn intern_keyword(&mut self, term: &str) -> KeywordId {
-        self.dictionary.intern(term)
+        match self.dictionary.get(term) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.dictionary).intern(term),
+        }
     }
 
     /// Applies a batch of [`GraphDelta`]s, returning the updated graph.
     ///
-    /// One structure clone, then per-delta incremental edits — sorted splices
-    /// into the CSR rows plus bitmap bit-flips and threshold
-    /// promotions/demotions — instead of the historical
-    /// rebuild-the-whole-graph-per-update path. Deltas apply in order; a
+    /// The new graph shares every part of `self` the batch leaves alone (see
+    /// the type's documentation), then takes per-delta incremental edits —
+    /// sorted splices into the CSR rows plus bitmap bit-flips and threshold
+    /// promotions/demotions. Deltas apply in order; a
     /// [`GraphDelta::InsertVertex`] makes its new id visible to later deltas
     /// of the same batch. Deltas that are already true of the graph are
     /// no-ops. The whole batch is validated before anything is mutated, so an
@@ -372,6 +534,10 @@ impl AttributedGraph {
     ///
     /// Validation runs over the whole batch first (tracking the vertex count
     /// as `InsertVertex` deltas grow it), so on `Err` the graph is unchanged.
+    /// Arrays shared with other generations are copied on first write and
+    /// edited in place after that: an edge delta copies the CSR arrays (and
+    /// the bitmap rows if an endpoint owns one), a vertex delta the
+    /// per-vertex arrays, a keyword delta the keyword-set pointers.
     pub fn apply_deltas_in_place(
         &mut self,
         deltas: &[GraphDelta],
@@ -382,29 +548,31 @@ impl AttributedGraph {
             match delta {
                 GraphDelta::InsertEdge { u, v } => {
                     if !self.has_edge(*u, *v) {
-                        self.insert_edge_in_place(*u, *v);
+                        self.topology.insert_edge(*u, *v);
                         applied.push(AppliedDelta::EdgeInserted(*u, *v));
                     }
                 }
                 GraphDelta::RemoveEdge { u, v } => {
                     if self.has_edge(*u, *v) {
-                        self.remove_edge_in_place(*u, *v);
+                        self.topology.remove_edge(*u, *v);
                         applied.push(AppliedDelta::EdgeRemoved(*u, *v));
                     }
                 }
                 GraphDelta::AddKeyword { vertex, term } => {
-                    let id = self.dictionary.intern(term);
-                    if !self.keywords[vertex.index()].contains(id) {
-                        self.keywords[vertex.index()] =
-                            self.keywords[vertex.index()].with_inserted(id);
+                    let id = self.intern_keyword(term);
+                    let i = vertex.index();
+                    if !self.keywords[i].contains(id) {
+                        let next = self.keywords[i].with_inserted(id);
+                        Arc::make_mut(&mut self.keywords)[i] = next;
                         applied.push(AppliedDelta::KeywordAdded(*vertex, id));
                     }
                 }
                 GraphDelta::RemoveKeyword { vertex, term } => {
+                    let i = vertex.index();
                     if let Some(id) = self.dictionary.get(term) {
-                        if self.keywords[vertex.index()].contains(id) {
-                            self.keywords[vertex.index()] =
-                                self.keywords[vertex.index()].with_removed(id);
+                        if self.keywords[i].contains(id) {
+                            let next = self.keywords[i].with_removed(id);
+                            Arc::make_mut(&mut self.keywords)[i] = next;
                             applied.push(AppliedDelta::KeywordRemoved(*vertex, id));
                         }
                     }
@@ -447,73 +615,14 @@ impl AttributedGraph {
         Ok(())
     }
 
-    /// Splices the (validated, absent) edge `{u, v}` into both CSR rows and
-    /// maintains the hybrid bitmap: bit-flips on existing rows, promotion
-    /// when an endpoint's degree reaches the `n/64` threshold.
-    fn insert_edge_in_place(&mut self, u: VertexId, v: VertexId) {
-        for (a, b) in [(u, v), (v, u)] {
-            let i = a.index();
-            let row = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
-            let pos = self.offsets[i] + row.binary_search(&b).unwrap_err();
-            self.neighbors.insert(pos, b);
-            for off in &mut self.offsets[i + 1..] {
-                *off += 1;
-            }
-        }
-        for (a, b) in [(u, v), (v, u)] {
-            if self.adjacency.row_of[a.index()] != NO_ROW {
-                self.adjacency.flip_bit(a.index(), b.index(), true);
-            } else if self.degree(a) >= self.adjacency.threshold {
-                let i = a.index();
-                let (offsets, neighbors) = (&self.offsets, &self.neighbors);
-                self.adjacency.promote(i, &neighbors[offsets[i]..offsets[i + 1]]);
-            }
-        }
-    }
-
-    /// Removes the (validated, present) edge `{u, v}` from both CSR rows and
-    /// maintains the hybrid bitmap: bit-flips, demotion when an endpoint
-    /// falls below the threshold.
-    fn remove_edge_in_place(&mut self, u: VertexId, v: VertexId) {
-        for (a, b) in [(u, v), (v, u)] {
-            let i = a.index();
-            let row = &self.neighbors[self.offsets[i]..self.offsets[i + 1]];
-            let pos = self.offsets[i] + row.binary_search(&b).expect("edge present");
-            self.neighbors.remove(pos);
-            for off in &mut self.offsets[i + 1..] {
-                *off -= 1;
-            }
-        }
-        for (a, b) in [(u, v), (v, u)] {
-            if self.adjacency.row_of[a.index()] != NO_ROW {
-                if self.degree(a) < self.adjacency.threshold {
-                    self.adjacency.demote(a.index());
-                } else {
-                    self.adjacency.flip_bit(a.index(), b.index(), false);
-                }
-            }
-        }
-    }
-
-    /// Appends a new isolated vertex; rebuilds the bitmap only when the new
-    /// universe size moves `⌈n/64⌉` (at n = 64k+1) or the `max(1, n/64)`
-    /// threshold (at n = 128, 192, …) — at most once per 64 insertions —
-    /// otherwise the append is `O(1)`.
+    /// Appends a new isolated vertex with its keywords and label.
     fn insert_vertex_in_place(&mut self, label: Option<String>, keywords: &[String]) -> VertexId {
-        let old_n = self.num_vertices();
-        let ids: Vec<KeywordId> = keywords.iter().map(|t| self.dictionary.intern(t)).collect();
-        self.keywords.push(KeywordSet::from_ids(ids));
-        self.labels.push(label);
-        self.offsets.push(*self.offsets.last().expect("offsets never empty"));
-        let n = old_n + 1;
-        let words_changed = n.div_ceil(64) != self.adjacency.words_per_row;
-        let threshold_changed = (n / 64).max(1) != self.adjacency.threshold;
-        if words_changed || threshold_changed {
-            self.adjacency = AdjacencyBitmaps::build(&self.offsets, &self.neighbors, n);
-        } else {
-            self.adjacency.row_of.push(NO_ROW);
-        }
-        VertexId::from_index(old_n)
+        let v = VertexId::from_index(self.num_vertices());
+        let ids: Vec<KeywordId> = keywords.iter().map(|t| self.intern_keyword(t)).collect();
+        Arc::make_mut(&mut self.keywords).push(KeywordSet::from_ids(ids));
+        Arc::make_mut(&mut self.labels).push(label);
+        self.topology.push_vertex();
+        v
     }
 
     /// Returns a new graph with the undirected edge `{u, v}` inserted — a
@@ -669,14 +778,11 @@ impl GraphBuilder {
         for v in 0..n {
             neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        let adjacency = AdjacencyBitmaps::build(&offsets, &neighbors, n);
         AttributedGraph {
-            offsets,
-            neighbors,
-            keywords: self.keywords,
-            labels: self.labels,
-            dictionary: self.dictionary,
-            adjacency,
+            topology: Topology::new(offsets, neighbors),
+            keywords: Arc::new(self.keywords.iter().map(KeywordSet::repacked).collect()),
+            labels: Arc::new(self.labels),
+            dictionary: Arc::new(self.dictionary),
         }
     }
 }
@@ -899,9 +1005,9 @@ mod tests {
     /// vertex/edge/keyword content.
     fn assert_matches_rebuild(got: &AttributedGraph) {
         let mut b = GraphBuilder::new();
-        b.dictionary = got.dictionary.clone();
-        b.keywords = got.keywords.clone();
-        b.labels = got.labels.clone();
+        b.dictionary = (*got.dictionary).clone();
+        b.keywords = got.keywords.iter().cloned().collect();
+        b.labels = got.labels.iter().cloned().collect();
         for v in got.vertices() {
             for &u in got.neighbors(v) {
                 if v < u {
@@ -910,16 +1016,17 @@ mod tests {
             }
         }
         let rebuilt = b.build();
-        assert_eq!(got.offsets, rebuilt.offsets, "CSR offsets diverged from rebuild");
-        assert_eq!(got.neighbors, rebuilt.neighbors, "CSR rows diverged from rebuild");
+        let (got_t, rebuilt_t) = (&got.topology, &rebuilt.topology);
+        assert_eq!(got_t.offsets, rebuilt_t.offsets, "CSR offsets diverged from rebuild");
+        assert_eq!(got_t.neighbors, rebuilt_t.neighbors, "CSR rows diverged from rebuild");
         assert_eq!(
-            got.adjacency.words_per_row, rebuilt.adjacency.words_per_row,
+            got_t.adjacency.words_per_row, rebuilt_t.adjacency.words_per_row,
             "bitmap geometry diverged"
         );
-        assert_eq!(got.adjacency.threshold, rebuilt.adjacency.threshold);
+        assert_eq!(got_t.adjacency.threshold, rebuilt_t.adjacency.threshold);
         assert_eq!(
-            got.adjacency.row_count(),
-            rebuilt.adjacency.row_count(),
+            got_t.adjacency.row_count(),
+            rebuilt_t.adjacency.row_count(),
             "row count diverged from rebuild"
         );
         for v in got.vertices() {
@@ -1069,6 +1176,99 @@ mod tests {
             ])
             .unwrap();
         assert_matches_rebuild(&g);
+    }
+
+    /// A path over `n` vertices, each carrying one of three terms.
+    fn path_graph(n: u32) -> AttributedGraph {
+        let terms = [["a"], ["b"], ["c"]];
+        let keywords: Vec<&[&str]> = (0..n).map(|i| &terms[i as usize % 3][..]).collect();
+        let edges: Vec<(u32, u32)> = (1..n).map(|i| (i - 1, i)).collect();
+        graph_from_edges(&keywords, &edges)
+    }
+
+    /// How many vertices of `a` and `b` hold the very same keyword-set
+    /// allocation.
+    fn shared_keyword_sets(a: &AttributedGraph, b: &AttributedGraph) -> usize {
+        a.keywords.iter().zip(b.keywords.iter()).filter(|(x, y)| x.shares_ids(y)).count()
+    }
+
+    #[test]
+    fn a_keyword_delta_copies_only_the_set_pointers() {
+        let old = path_graph(1000);
+        let v = VertexId(700);
+        let new = old.apply_deltas(&[GraphDelta::add_keyword(v, "a")]).unwrap();
+        assert!(new.keyword_terms(v).contains(&"a"));
+        assert!(old.topology.shares_all(&new.topology), "topology copied");
+        assert!(Arc::ptr_eq(&old.labels, &new.labels), "labels copied");
+        assert!(Arc::ptr_eq(&old.dictionary, &new.dictionary), "known term copied the dictionary");
+        assert!(!Arc::ptr_eq(&old.keywords, &new.keywords));
+        assert_eq!(shared_keyword_sets(&old, &new), 999, "only the edited set is new");
+        assert!(!old.keyword_terms(v).contains(&"a"), "the old graph is untouched");
+        let back = new.apply_deltas(&[GraphDelta::remove_keyword(v, "a")]).unwrap();
+        assert_eq!(shared_keyword_sets(&back, &new), 999);
+        assert!(Arc::ptr_eq(&back.dictionary, &new.dictionary));
+        // Only a term the dictionary has not seen copies it.
+        let fresh = old.apply_deltas(&[GraphDelta::add_keyword(v, "brand-new")]).unwrap();
+        assert!(!Arc::ptr_eq(&old.dictionary, &fresh.dictionary));
+        assert!(old.dictionary().get("brand-new").is_none(), "the old dictionary is untouched");
+    }
+
+    #[test]
+    fn edge_and_vertex_deltas_unshare_only_the_topology() {
+        let old = path_graph(1000);
+        let new = old.apply_deltas(&[GraphDelta::insert_edge(VertexId(0), VertexId(900))]).unwrap();
+        assert!(!Arc::ptr_eq(&old.topology.neighbors, &new.topology.neighbors));
+        assert!(!Arc::ptr_eq(&old.topology.offsets, &new.topology.offsets));
+        assert!(!old.has_edge(VertexId(0), VertexId(900)), "the old topology is untouched");
+        assert!(Arc::ptr_eq(&old.dictionary, &new.dictionary));
+        assert!(Arc::ptr_eq(&old.keywords, &new.keywords));
+        assert!(Arc::ptr_eq(&old.labels, &new.labels));
+        assert_matches_rebuild(&new);
+
+        let grown = old.apply_deltas(&[GraphDelta::insert_vertex(Some("z"), &["b"])]).unwrap();
+        assert!(!Arc::ptr_eq(&old.topology.offsets, &grown.topology.offsets));
+        assert!(Arc::ptr_eq(&old.topology.neighbors, &grown.topology.neighbors), "no edge moved");
+        assert!(Arc::ptr_eq(&old.dictionary, &grown.dictionary));
+        assert_eq!(shared_keyword_sets(&old, &grown), 1000, "existing sets are not copied");
+        assert_eq!(old.num_vertices(), 1000);
+        assert_eq!(grown.label(VertexId(1000)), Some("z"));
+        assert_matches_rebuild(&grown);
+    }
+
+    #[test]
+    fn a_batch_copies_each_shared_array_once() {
+        let old = path_graph(1000);
+        let mut next = old.clone();
+        next.apply_deltas_in_place(&[GraphDelta::insert_edge(VertexId(0), VertexId(2))]).unwrap();
+        let (offsets, neighbors) =
+            (next.topology.offsets.as_ptr(), next.topology.neighbors.as_ptr());
+        next.apply_deltas_in_place(&[
+            GraphDelta::remove_edge(VertexId(0), VertexId(1)),
+            GraphDelta::insert_edge(VertexId(5), VertexId(9)),
+        ])
+        .unwrap();
+        assert_eq!(next.topology.offsets.as_ptr(), offsets, "an owned array is edited in place");
+        assert_eq!(
+            next.topology.neighbors.as_ptr(),
+            neighbors,
+            "an owned array is edited in place"
+        );
+        assert_matches_rebuild(&next);
+        assert!(old.has_edge(VertexId(0), VertexId(1)) && !old.has_edge(VertexId(0), VertexId(2)));
+    }
+
+    #[test]
+    fn streamed_json_matches_the_value_tree() {
+        let g = path_graph(300)
+            .apply_deltas(&[
+                GraphDelta::insert_vertex(Some("quote \" slash \\ nl \n ctl \u{1} é"), &["x"]),
+                GraphDelta::insert_vertex(None, &[]),
+                GraphDelta::insert_edge(VertexId(300), VertexId(3)),
+            ])
+            .unwrap();
+        let mut from_tree = String::new();
+        serde::write_value(&g.to_value(), &mut from_tree);
+        assert_eq!(serde_json::to_string(&g).unwrap(), from_tree);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::ids::KeywordId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Interns keyword strings and hands out dense [`KeywordId`]s.
 ///
@@ -83,15 +84,19 @@ impl KeywordDictionary {
 }
 
 /// A sorted, deduplicated set of keyword identifiers attached to one vertex.
+///
+/// The identifiers are immutable and shared: cloning a set copies a
+/// pointer, so a graph generation that copies its keyword-set array on
+/// write never moves the identifiers of untouched vertices.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct KeywordSet {
-    ids: Box<[KeywordId]>,
+    ids: Arc<[KeywordId]>,
 }
 
 impl KeywordSet {
     /// The empty keyword set.
     pub fn empty() -> Self {
-        Self { ids: Box::new([]) }
+        Self::default()
     }
 
     /// Builds a set from arbitrary (possibly unsorted, duplicated) identifiers.
@@ -99,7 +104,20 @@ impl KeywordSet {
         let mut v: Vec<KeywordId> = ids.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Self { ids: v.into_boxed_slice() }
+        Self { ids: v.into() }
+    }
+
+    /// The same set in an allocation of its own. Builders copy every set
+    /// this way, in vertex order, so the identifiers of consecutive vertices
+    /// sit next to each other however the sets were produced.
+    pub(crate) fn repacked(&self) -> KeywordSet {
+        KeywordSet { ids: Arc::from(&self.ids[..]) }
+    }
+
+    /// Whether `self` and `other` are the same allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_ids(&self, other: &KeywordSet) -> bool {
+        Arc::ptr_eq(&self.ids, &other.ids)
     }
 
     /// Number of keywords in the set.
@@ -160,7 +178,7 @@ impl KeywordSet {
                 }
             }
         }
-        KeywordSet { ids: out.into_boxed_slice() }
+        KeywordSet { ids: out.into() }
     }
 
     /// Size of the intersection with a sorted slice, without allocating.
@@ -203,7 +221,7 @@ impl KeywordSet {
         }
         out.extend_from_slice(&self.ids[i..]);
         out.extend_from_slice(&other.ids[j..]);
-        KeywordSet { ids: out.into_boxed_slice() }
+        KeywordSet { ids: out.into() }
     }
 
     /// Jaccard similarity `|A ∩ B| / |A ∪ B|` between two keyword sets.
@@ -227,7 +245,7 @@ impl KeywordSet {
         let mut v = self.ids.to_vec();
         let pos = v.binary_search(&id).unwrap_err();
         v.insert(pos, id);
-        KeywordSet { ids: v.into_boxed_slice() }
+        KeywordSet { ids: v.into() }
     }
 
     /// Returns a new set with `id` removed (no-op if absent).
@@ -236,7 +254,7 @@ impl KeywordSet {
             Ok(pos) => {
                 let mut v = self.ids.to_vec();
                 v.remove(pos);
-                KeywordSet { ids: v.into_boxed_slice() }
+                KeywordSet { ids: v.into() }
             }
             Err(_) => self.clone(),
         }

@@ -143,10 +143,10 @@ pub struct ShardCounters {
     pub shard: u64,
     /// Vertices owned by the shard.
     pub vertices: u64,
-    /// The shard engine's own generation number (bumped only by updates that
+    /// The shard's own generation number (bumped only by updates that
     /// touched this shard; the top-level `generation` is the logical one).
     pub generation: u64,
-    /// The shard engine's index-cache counters.
+    /// The shard's index-cache counters.
     pub cache: CacheCounters,
 }
 

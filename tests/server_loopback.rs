@@ -477,3 +477,23 @@ fn a_silent_connection_is_reaped_by_the_read_timeout() {
     probe.ping().expect("server still serves after reaping the loris");
     server.shutdown();
 }
+
+/// Both ends of every connection disable Nagle's algorithm: small frames on
+/// a pipelined connection must not wait for the previous one's ACK.
+#[test]
+fn every_connection_sets_tcp_nodelay() {
+    let engine = Arc::new(Engine::new(Arc::new(paper_figure3_graph())));
+    let server =
+        Server::bind("127.0.0.1:0", engine as _, ServerConfig::default()).expect("bind loopback");
+    let mut clients: Vec<Client> =
+        (0..2).map(|_| Client::connect(server.local_addr()).expect("connect")).collect();
+    for client in &mut clients {
+        // A round trip proves the server accepted and registered the socket.
+        client.ping().expect("ping");
+        assert_eq!(client.nodelay(), Some(true), "client socket keeps Nagle on");
+    }
+    let accepted = server.connections_nodelay();
+    assert_eq!(accepted.len(), 2, "both connections are registered");
+    assert!(accepted.iter().all(|&on| on), "accepted sockets keep Nagle on: {accepted:?}");
+    server.shutdown();
+}
